@@ -1,18 +1,14 @@
 #!/usr/bin/env python
-"""Compare a fresh BENCH_scale.json against the committed baseline.
+"""Compare a fresh BENCH_*.json against the committed baseline.
 
 Usage: check_bench_regression.py BASELINE FRESH [--factor 2.0]
 
 Fails (exit 1) if, for any cell present in both files:
 
-* the fresh optimized wall time exceeds ``factor`` x the baseline's
-  (a kernel performance regression), or
-* ``digest_match`` is false (the optimizations changed behaviour).
-
-Cells marked ``"modes": "optimized-only"`` (too expensive to double-run
-in legacy mode, e.g. the 100k-job monitored cell) skip the digest check
--- their behaviour equivalence is covered by the both-modes cell of the
-same scenario family at smaller scale.
+* the fresh run's digest differs from the baseline's (the simulation's
+  behaviour changed; an intended change re-pins the committed cell), or
+* the fresh wall time exceeds ``factor`` x the baseline's (a kernel
+  performance regression).
 
 Cells only in one file are reported but don't fail the check -- CI runs
 a downsized subset of the committed full-scale cells.
@@ -39,18 +35,18 @@ def main(argv=None) -> int:
 
     failures = []
     for name, cell in sorted(fresh.items()):
-        if cell.get("modes") == "optimized-only":
-            print(f"{name}: optimized-only cell; skipping digest check")
-        elif not cell.get("digest_match", False):
-            failures.append(f"{name}: optimized/legacy digests diverged")
         base = baseline.get(name)
         if base is None:
-            print(f"{name}: no baseline cell; skipping time check")
+            print(f"{name}: no baseline cell; skipping checks")
             continue
+        if cell["digest"] != base["digest"]:
+            failures.append(
+                f"{name}: digest {cell['digest']} != baseline "
+                f"{base['digest']}")
         fresh_s = cell["optimized_wall_s"]
         limit = args.factor * base["optimized_wall_s"]
         verdict = "OK" if fresh_s <= limit else "REGRESSION"
-        print(f"{name}: optimized {fresh_s:.2f}s "
+        print(f"{name}: wall {fresh_s:.2f}s "
               f"(baseline {base['optimized_wall_s']:.2f}s, "
               f"limit {limit:.2f}s) {verdict}")
         if fresh_s > limit:

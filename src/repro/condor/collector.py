@@ -9,19 +9,16 @@ its ad, one that dies silently ages out.
 Expired ads are *reaped*, not just filtered: a sweep runs lazily on the
 advertise/query paths whenever the soonest-known expiry has passed, so
 the registry cannot grow without bound across glidein churn.  The sweep
-is flag-independent (it changes observable state, so it must behave the
-same in legacy and optimized mode) and is surfaced through the
-``collector.expired_reaped`` metrics counter.
+is surfaced through the ``collector.expired_reaped`` metrics counter.
 
-With ``PerfFlags.collector_eq_index`` on, queries of the dominant shape
-``Attr == <literal>`` (the Negotiator's ``State == "Unclaimed"``) are
-answered from per-(adtype, attribute) equality buckets instead of a
-full evaluate-every-ad scan, and all indexed queries iterate a
-maintained name-sorted list instead of re-sorting the registry per
-call.  Candidates coming out of a bucket are still evaluated against
-the full constraint, so the index can only narrow the scan, never
-change a result.  Constraint parsing is cached unconditionally
-(parsing is pure), mirroring the GIIS query cache.
+Queries of the dominant shape ``Attr == <literal>`` (the Negotiator's
+``State == "Unclaimed"``) are answered from per-(adtype, attribute)
+equality buckets instead of a full evaluate-every-ad scan, and all
+queries iterate a maintained name-sorted list instead of re-sorting the
+registry per call.  Candidates coming out of a bucket are still
+evaluated against the full constraint, so the index can only narrow the
+scan, never change a result.  Constraint parsing is cached (parsing is
+pure), mirroring the GIIS query cache.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from typing import Any, Optional
 from ..classads import ClassAd, EvalContext, is_true, parse
 from ..classads.ast import AttrRef, BinaryOp, Literal
 from ..sim.hosts import Host
-from ..sim.perf import PerfFlags
 from ..sim.rpc import Service
 
 
@@ -136,15 +132,15 @@ class Collector(Service):
         self.default_ttl = default_ttl
         # (adtype, name) -> (ad, expiry): the canonical registry.
         self._ads: dict[tuple[str, str], tuple[ClassAd, float]] = {}
-        # adtype -> sorted list of live names (legacy query order is
-        # name-sorted within adtype; maintained incrementally so the
-        # indexed path never re-sorts per query).
+        # adtype -> sorted list of live names (query results are
+        # name-sorted within adtype; maintained incrementally so no
+        # query re-sorts).
         self._names: dict[str, list[str]] = {}
         # (adtype, attr) -> _EqIndex, built lazily on first indexed
         # query for that attribute, maintained thereafter.
         self._eq_index: dict[tuple[str, str], _EqIndex] = {}
         # constraint text -> (expr, eq_pattern-or-None); parsing is
-        # pure so this is unconditional, like the GIIS query cache.
+        # pure, like the GIIS query cache.
         self._parse_cache: dict[str, tuple[Any, Optional[tuple]]] = {}
         self.parse_cache_hits = 0
         # Soonest expiry across the registry: the lazy-sweep trigger.
@@ -242,17 +238,6 @@ class Collector(Service):
         else:
             self.parse_cache_hits += 1
         expr, pattern = cached
-        if not PerfFlags.collector_eq_index:
-            # Legacy path: evaluate the constraint against a full
-            # name-sorted scan of the registry.
-            self.scanned_queries += 1
-            out = []
-            for (kind, name), (ad, expiry) in sorted(self._ads.items()):
-                if kind != adtype or expiry < self.sim.now:
-                    continue
-                if is_true(expr.eval(EvalContext(my=ad, now=self.sim.now))):
-                    out.append(ad)
-            return out
         if pattern is not None:
             self.indexed_queries += 1
             names = self._ensure_eq_index(adtype, pattern[0]) \

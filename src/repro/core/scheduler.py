@@ -15,9 +15,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from ..compat import deprecated
 from ..sim.hosts import Host
-from ..sim.perf import PerfFlags
 from . import job as J
 from .broker import Broker
 from .gridmanager import GridManager
@@ -65,9 +63,7 @@ class CondorGScheduler:
         self.jobs: dict[str, GridJob] = {}
         # Incremental views of `jobs`, refreshed by _reindex() on every
         # persist() (every state mutation persists, so they can never go
-        # stale).  Always maintained -- the upkeep is O(1) -- but only
-        # *consulted* when PerfFlags.scheduler_indexes is on, so legacy
-        # mode still pays (and measures) the original full-queue scans.
+        # stale); the upkeep is O(1) per mutation.
         self._nonterminal: set[str] = set()
         self._unsubmitted: set[str] = set()
         self._watchable: set[str] = set()
@@ -88,10 +84,7 @@ class CondorGScheduler:
     def persist(self, job: GridJob) -> None:
         self._store.put(job.job_id, job.queue_record())
         self._reindex(job)
-        if PerfFlags.scheduler_indexes:
-            depth = len(self._nonterminal)
-        else:
-            depth = sum(1 for j in self.jobs.values() if not j.is_terminal)
+        depth = len(self._nonterminal)
         # Applied as a delta so N concurrent per-user schedulers sharing
         # one registry yield a true grid-wide depth instead of whichever
         # agent persisted last clobbering the gauge.
@@ -125,9 +118,7 @@ class CondorGScheduler:
             if job.jmid:
                 self._by_jmid[job.jmid] = job
             self._jmid_of[jid] = job.jmid
-        # In-flight-per-resource tally (the submit throttle's input);
-        # maintained unconditionally, like the other indexes, so legacy
-        # and perf mode throttle identically.
+        # In-flight-per-resource tally (the submit throttle's input).
         res = job.resource if (job.resource and not job.is_terminal
                                and job.state in (J.STAGING, J.SUBMITTING,
                                                  J.PENDING, J.ACTIVE)) \
@@ -191,35 +182,13 @@ class CondorGScheduler:
                 data_services=self.data_services,
                 grid_monitor=self.grid_monitor)
 
-    def _check_user(self, user: Optional[str], method: str) -> None:
-        """Deprecation shim for the redundant per-user `user` args.
-
-        The scheduler is bound to exactly one user (`self.user`); in a
-        multi-agent grid a mismatched identity means two agents got
-        cross-wired, which must fail loudly rather than silently operate
-        on the wrong queue.
-        """
-        if user is None:
-            return
-        deprecated(
-            f"{method}(user=...) is deprecated; the scheduler is bound "
-            f"to {self.user!r} and takes its identity from self.user",
-            stacklevel=4)
-        if user != self.user:
-            raise ValueError(
-                f"scheduler of {self.user!r} got a {method}() call for "
-                f"{user!r}: agents are cross-wired")
-
-    def gridmanager_exited(self, user: Optional[str] = None) -> None:
-        self._check_user(user, "gridmanager_exited")
+    def gridmanager_exited(self) -> None:
         self.gridmanager = None
 
     # -- queries ------------------------------------------------------------
-    def jobs_for_user(self, user: Optional[str] = None) -> list[GridJob]:
-        self._check_user(user, "jobs_for_user")
-        if PerfFlags.scheduler_indexes:
-            return list(self._sorted_jobs)
-        return sorted(self.jobs.values(), key=lambda j: j.job_id)
+    def jobs_for_user(self) -> list[GridJob]:
+        """This user's jobs in ascending job-id order."""
+        return list(self._sorted_jobs)
 
     def status(self, job_id: str) -> GridJob:
         return self.jobs[job_id]
@@ -231,9 +200,7 @@ class CondorGScheduler:
         return out
 
     def all_terminal(self) -> bool:
-        if PerfFlags.scheduler_indexes:
-            return not self._nonterminal
-        return all(j.is_terminal for j in self.jobs.values())
+        return not self._nonterminal
 
     # O(1)/O(k) accessors for the GridManager loops (index-backed).
     def job_by_jmid(self, jmid: str) -> Optional[GridJob]:
@@ -287,25 +254,7 @@ class CondorGScheduler:
         return True
 
     # -- holds ---------------------------------------------------------------
-    def hold_for_credentials(self, *args, **kwargs) -> int:
-        # Modern signature: hold_for_credentials(reason="").  The legacy
-        # one was (user, reason); a reason= keyword next to a positional,
-        # or two positionals, marks an old caller whose first argument is
-        # the (now redundant) user identity.
-        reason = ""
-        if "reason" in kwargs:
-            reason = kwargs.pop("reason")
-            if args:
-                self._check_user(args[0], "hold_for_credentials")
-                args = args[1:]
-        elif len(args) >= 2:
-            self._check_user(args[0], "hold_for_credentials")
-            reason, args = args[1], args[2:]
-        elif args:
-            reason, args = args[0], args[1:]
-        if args or kwargs:
-            raise TypeError(
-                f"unexpected arguments {list(args) + sorted(kwargs)!r}")
+    def hold_for_credentials(self, reason: str = "") -> int:
         held = 0
         for job in self.jobs.values():
             if job.state in (J.UNSUBMITTED,):
@@ -316,8 +265,7 @@ class CondorGScheduler:
                 held += 1
         return held
 
-    def release_credential_holds(self, user: Optional[str] = None) -> int:
-        self._check_user(user, "release_credential_holds")
+    def release_credential_holds(self) -> int:
         released = 0
         for job in self.jobs.values():
             if job.state == J.HELD:

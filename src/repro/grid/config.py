@@ -1,16 +1,12 @@
 """Typed, frozen testbed configuration.
 
-:class:`GridTestbed` grew three kwargs-sprawl entry points
-(``__init__`` / ``add_site`` / ``add_agent``); a topology built through
-them exists only as a sequence of imperative calls, which nothing can
-introspect, compare, or ship across a process boundary.  These dataclasses
-are the declarative replacement: a :class:`TestbedConfig` value *is* the
-topology -- hashable-by-value, seed-swappable via :meth:`with_seed`, and
-buildable with :meth:`repro.grid.testbed.GridTestbed.from_config`.
-
-The old kwargs entry points keep working through a deprecation shim that
-constructs these specs internally (see ``testbed.py``), so call sites
-migrate incrementally.
+A topology built from loose keyword arguments exists only as a sequence
+of imperative calls, which nothing can introspect, compare, or ship
+across a process boundary.  In these dataclasses a :class:`TestbedConfig`
+value *is* the topology -- hashable-by-value, seed-swappable via
+:meth:`with_seed`, and buildable with
+:meth:`repro.grid.testbed.GridTestbed.from_config`.  ``GridTestbed``,
+``add_site`` and ``add_agent`` accept only these specs.
 """
 
 from __future__ import annotations

@@ -12,10 +12,9 @@ This is the module the examples and benchmarks drive; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
-from ..compat import deprecated
 from ..condor.jobs import reset_cluster_ids
 from ..core.api import CondorGAgent
 from ..core.broker import Broker, MDSBroker, QueueAwareBroker, UserListBroker
@@ -82,37 +81,25 @@ class Site:
         return self.lrm.depth()
 
 
-_SITE_FIELDS = frozenset(
-    f.name for f in fields(SiteSpec)) - {"name", "lrm_options"}
-
-_DEPRECATION = ("%s is deprecated; build a %s (repro.grid.config) and "
-                "pass it instead")
+def _require(spec, cls: type) -> None:
+    """Reject anything but the typed spec (a bare name, say)."""
+    if not isinstance(spec, cls):
+        raise TypeError(
+            f"expected {cls.__name__}, got {type(spec).__name__}")
 
 
 class GridTestbed:
     """A multi-institutional grid in a box.
 
     Build one declaratively from a :class:`TestbedConfig`
-    (:meth:`from_config`), or imperatively through the legacy kwargs of
-    ``__init__`` / ``add_site`` / ``add_agent`` -- the kwargs forms are
-    deprecated shims that construct the equivalent spec internally.
+    (:meth:`from_config`), or imperatively by passing a
+    :class:`SiteSpec` / :class:`AgentSpec` to ``add_site`` / ``add_agent``.
     """
 
-    def __init__(self, config: Optional[TestbedConfig] = None, **kwargs):
-        if config is not None:
-            if kwargs:
-                raise TypeError(
-                    "pass either a TestbedConfig or legacy kwargs, not both")
-            if not isinstance(config, TestbedConfig):
-                raise TypeError(
-                    f"expected TestbedConfig, got {type(config).__name__}")
-        else:
-            if kwargs:
-                deprecated(
-                    _DEPRECATION % ("GridTestbed(**kwargs)",
-                                    "TestbedConfig"),
-                    stacklevel=3)
-            config = TestbedConfig(**kwargs)
+    def __init__(self, config: Optional[TestbedConfig] = None):
+        if config is None:
+            config = TestbedConfig()
+        _require(config, TestbedConfig)
         self.config = config
         # Restart the module-level id counters so a testbed's ids are a
         # pure function of its seed.  Without this, the second build of
@@ -178,20 +165,9 @@ class GridTestbed:
         return cls(config)
 
     # -- sites ---------------------------------------------------------------
-    def add_site(self, site, **kwargs) -> Site:
-        """Add a site from a :class:`SiteSpec` (or legacy name+kwargs)."""
-        if isinstance(site, SiteSpec):
-            if kwargs:
-                raise TypeError(
-                    "pass either a SiteSpec or legacy kwargs, not both")
-            spec = site
-        else:
-            deprecated(
-                _DEPRECATION % ("add_site(name, **kwargs)", "SiteSpec"),
-                stacklevel=3)
-            known = {k: kwargs.pop(k) for k in list(kwargs)
-                     if k in _SITE_FIELDS}
-            spec = SiteSpec(name=site, lrm_options=kwargs, **known)
+    def add_site(self, spec: SiteSpec) -> Site:
+        """Add the site a :class:`SiteSpec` describes."""
+        _require(spec, SiteSpec)
         name = spec.name
         gk_host = Host(self.sim, f"{name}-gk", site=name)
         lrm_host = Host(self.sim, f"{name}-lrm", site=name)
@@ -291,24 +267,14 @@ class GridTestbed:
             site.gridmap.add(user.dn, f"{site.name}_{name}")
         return user
 
-    def add_agent(self, agent_spec, broker: Optional[Broker] = None,
-                  **kwargs) -> CondorGAgent:
+    def add_agent(self, spec: AgentSpec,
+                  broker: Optional[Broker] = None) -> CondorGAgent:
         """Create a user + their desktop agent on `submit-<name>`.
 
-        Takes an :class:`AgentSpec` (or a legacy name+kwargs).  `broker`
-        stays a runtime argument in both forms: a live Broker instance
-        is not config-value material (``AgentSpec.broker_kind`` is).
+        `broker` is a runtime argument: a live Broker instance is not
+        config-value material (``AgentSpec.broker_kind`` is).
         """
-        if isinstance(agent_spec, AgentSpec):
-            if kwargs:
-                raise TypeError(
-                    "pass either an AgentSpec or legacy kwargs, not both")
-            spec = agent_spec
-        else:
-            deprecated(
-                _DEPRECATION % ("add_agent(name, **kwargs)", "AgentSpec"),
-                stacklevel=3)
-            spec = AgentSpec(name=agent_spec, **kwargs)
+        _require(spec, AgentSpec)
         name = spec.name
         user = self.users.get(name) or self.add_user(name)
         host = Host(self.sim, f"submit-{name}")

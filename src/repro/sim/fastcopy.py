@@ -15,18 +15,14 @@ match ``deepcopy`` for every payload the simulator actually ships.  The
 one intentional difference: reference cycles *through plain
 dict/list/tuple containers* are not supported (RPC payloads and queue
 records are trees by construction; objects handled by the fallback keep
-full cycle support).
-
-Gated by :class:`repro.sim.perf.PerfFlags.fast_copy`; with the flag off
-every call is a plain ``copy.deepcopy``.
+full cycle support).  The tests hold it to ``copy.deepcopy`` as the
+oracle.
 """
 
 from __future__ import annotations
 
 import copy
 from typing import Any
-
-from .perf import PerfFlags
 
 _ATOMIC = (str, int, float, bool, bytes, type(None))
 
@@ -45,7 +41,5 @@ def _walk(obj: Any) -> Any:
 
 
 def fast_deepcopy(obj: Any) -> Any:
-    """Deep-copy `obj`; structural fast path when the perf flag is on."""
-    if not PerfFlags.fast_copy:
-        return copy.deepcopy(obj)
+    """Deep-copy `obj`, structurally for plain dict/list/tuple trees."""
     return _walk(obj)

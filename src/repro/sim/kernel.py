@@ -32,7 +32,6 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import Interrupt, ProcessKilled, SimulationError
-from .perf import PerfFlags
 
 _UNSET = object()
 
@@ -462,14 +461,8 @@ class Simulator:
         function of the (time, seq) keys.
         """
         self._tombstones += 1
-        if not PerfFlags.heap_compaction:
-            return
         if self._tombstones > 256 and self._tombstones * 2 > len(self._heap):
-            # In-place: run() may hold a local alias to the heap list.
-            self._heap[:] = [entry for entry in self._heap
-                             if not entry[2]._cancelled]
-            heapq.heapify(self._heap)
-            self._tombstones = 0
+            self.compact_heap()
 
     def schedule(self, delay: float, fn: Callable[[], None],
                  at: Optional[float] = None) -> Event:
@@ -488,13 +481,14 @@ class Simulator:
         """Drop cancelled entries from the heap; returns how many went.
 
         Pop order of survivors is untouched (ordering is a pure function
-        of the ``(time, seq)`` keys), so this is behaviour-neutral in
-        every mode -- it is the canonicalization step snapshots use so
-        that heap contents do not depend on whether, or when, automatic
-        tombstone compaction last ran.
+        of the ``(time, seq)`` keys), so this is behaviour-neutral --
+        it is the canonicalization step snapshots use so that heap
+        contents do not depend on when automatic tombstone compaction
+        last ran.
         """
         dropped = self._tombstones
         if dropped:
+            # In-place: run() may hold a local alias to the heap list.
             self._heap[:] = [entry for entry in self._heap
                              if not entry[2]._cancelled]
             heapq.heapify(self._heap)
@@ -512,8 +506,8 @@ class Simulator:
 
         Unlike ``timeout(t - now)``, the fire time is exactly ``t`` with
         no float round-trip through a relative delay; the idle-skipping
-        poll loops rely on this to keep their tick times bit-identical
-        to the always-ticking legacy loops.
+        poll loops rely on this to keep their tick times on the same
+        phase grid as an always-ticking loop.
         """
         return Timeout(self, 0.0, value, at=t)
 

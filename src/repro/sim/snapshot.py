@@ -7,8 +7,8 @@ in creation order, per-host state (stable storage, services, live
 process names), the network fabric (partitions, isolation, counters),
 the :class:`~repro.sim.failures.FailureInjector` record, every daemon
 reachable from the testbed roots, the metrics snapshot, and a trace
-watermark -- plus the provenance ``(scenario, seed, plan, perf flags)``
-needed to rebuild it.
+watermark -- plus the provenance ``(scenario, seed, plan)`` needed to
+rebuild it.
 
 What is deliberately *not* serialized: generator frames.  Every daemon
 is a Python generator, and CPython cannot pickle or deep-copy a
@@ -20,12 +20,12 @@ three flavors, all honest about that constraint:
   snapshot point; ``run(0, t)`` then ``run(t, T)`` is exactly
   ``run(0, T)`` in this kernel, and :func:`capture` is side-effect-free,
   so segmented runs are bit-identical to uninterrupted ones.
-* **rehydrate** (:func:`restore`) -- rebuild ``scenario.build(seed)``
-  under the snapshot's recorded perf flags, re-apply the fault plan,
-  replay to the snapshot time, and *verify* the resulting state
-  fingerprint is bit-identical (raising :class:`SnapshotMismatch` with
-  the first divergent path otherwise).  This is what makes a snapshot
-  trustworthy across processes and machines.
+* **rehydrate** (:func:`restore`) -- rebuild ``scenario.build(seed)``,
+  re-apply the fault plan, replay to the snapshot time, and *verify* the
+  resulting state fingerprint is bit-identical (raising
+  :class:`SnapshotMismatch` with the first divergent path otherwise).
+  This is what makes a snapshot trustworthy across processes and
+  machines.
 * **fork** (:class:`ForkPoint`) -- hold a live testbed at the snapshot
   instant and evaluate candidate futures in ``os.fork()`` children:
   O(1) in-memory restore, used by shrink-from-snapshot to avoid
@@ -33,7 +33,7 @@ three flavors, all honest about that constraint:
 
 The contract (checked by ``tests/sim/test_snapshot_properties.py``):
 ``run(0, T)`` produces the same chaos run digest as ``run(0, t);
-capture; restore; run(t, T)``, in both legacy and perf mode.
+capture; restore; run(t, T)``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from . import perf as _perf
 from .errors import SimulationError
 from .failures import FailureInjector
 from .hosts import Host, StableStorage
@@ -62,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -203,10 +202,9 @@ def kernel_fingerprint(sim: Simulator) -> dict:
     """Canonical view of the event heap and kernel counters.
 
     Calls :meth:`Simulator.compact_heap` first: dropping tombstones is
-    behaviour-neutral (cancelled entries are skipped on pop in every
-    mode), and without it the raw heap bytes depend on whether -- and
-    when -- automatic compaction last ran, which varies with
-    ``PerfFlags.heap_compaction``.
+    behaviour-neutral (cancelled entries are skipped on pop), and
+    without it the raw heap bytes depend on whether -- and when --
+    automatic compaction last ran.
     """
     sim.compact_heap()
     heap = [[repr(t), seq, type(ev).__name__, ev.name,
@@ -284,7 +282,6 @@ def sim_fingerprint(sim: Simulator) -> dict:
                   for name, host in sorted(sim.hosts.items())},
         "metrics": _canon(sim.metrics.snapshot(), memo, 0),
         "trace": _trace_watermark(sim.trace),
-        "perf_flags": _perf.snapshot(),
     }
 
 
@@ -310,7 +307,7 @@ def fingerprint(tb: "GridTestbed") -> dict:
 
     Side-effect-free with respect to anything the run digest hashes: no
     trace records, no metric bumps, no RNG draws.  (It does compact heap
-    tombstones, which is invisible to event ordering in every mode.)
+    tombstones, which is invisible to event ordering.)
     """
     fp = sim_fingerprint(tb.sim)
     memo: dict[int, bool] = {}
@@ -378,7 +375,6 @@ class SimSnapshot:
     seed: Optional[int]
     plan: Optional[dict]
     time: float
-    perf_flags: dict
     fingerprint: dict
     digest: str
 
@@ -386,7 +382,6 @@ class SimSnapshot:
         return {
             "version": self.version, "scenario": self.scenario,
             "seed": self.seed, "plan": self.plan, "time": self.time,
-            "perf_flags": dict(self.perf_flags),
             "fingerprint": self.fingerprint, "digest": self.digest,
         }
 
@@ -398,7 +393,6 @@ class SimSnapshot:
         return cls(version=version, scenario=data.get("scenario"),
                    seed=data.get("seed"), plan=data.get("plan"),
                    time=float(data["time"]),
-                   perf_flags=dict(data["perf_flags"]),
                    fingerprint=data["fingerprint"],
                    digest=str(data["digest"]))
 
@@ -434,25 +428,14 @@ def capture(tb: "GridTestbed", scenario: Optional[str] = None,
     fp = fingerprint(tb)
     return SimSnapshot(
         version=SNAPSHOT_VERSION, scenario=scenario, seed=seed,
-        plan=plan, time=tb.sim.now, perf_flags=_perf.snapshot(),
-        fingerprint=fp, digest=_digest_of(fp))
+        plan=plan, time=tb.sim.now, fingerprint=fp, digest=_digest_of(fp))
 
 
 def verify(tb: "GridTestbed", snap: SimSnapshot) -> None:
     """Assert `tb`'s state is bit-identical to the snapshot's.
 
     Raises :class:`SnapshotMismatch` naming the first divergent path.
-    Comparison is same-mode only: the perf flags in force now must match
-    the snapshot's (``rpc_inline`` changes which kernel events exist, so
-    cross-mode states are legitimately different even when the run
-    digest contract holds).
     """
-    current_flags = _perf.snapshot()
-    if current_flags != snap.perf_flags:
-        raise SnapshotMismatch(
-            "perf flags differ from the snapshot's: state fingerprints "
-            f"are only comparable in the same mode (now={current_flags}, "
-            f"snapshot={snap.perf_flags})")
     fresh = fingerprint(tb)
     if fresh == snap.fingerprint:
         return
@@ -468,12 +451,9 @@ def restore(snap: SimSnapshot) -> "GridTestbed":
     """Rebuild a live testbed in the snapshot's exact state.
 
     Generator frames cannot be serialized, so restore *rehydrates*:
-    rebuild ``scenario.build(seed)`` under the snapshot's recorded perf
-    flags, re-apply the fault plan, replay to the snapshot time, then
-    :func:`verify` bit-identity -- failing loudly rather than returning
-    a silently-divergent simulation.  Note the perf flags are left in
-    force (the resumed run must continue in the snapshot's mode); use
-    ``perf_mode()`` around the whole resume if you need them restored.
+    rebuild ``scenario.build(seed)``, re-apply the fault plan, replay to
+    the snapshot time, then :func:`verify` bit-identity -- failing
+    loudly rather than returning a silently-divergent simulation.
     """
     if snap.scenario is None or snap.seed is None:
         raise SnapshotError(
@@ -481,7 +461,6 @@ def restore(snap: SimSnapshot) -> "GridTestbed":
             "with scenario=... to make it restorable")
     from ..grid.scenarios import get_scenario
 
-    _perf.restore(snap.perf_flags)
     tb = get_scenario(snap.scenario).build(snap.seed)
     if snap.plan and snap.plan.get("events"):
         from ..chaos.plan import FaultPlan

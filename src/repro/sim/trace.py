@@ -9,14 +9,14 @@ timelines from it.
 The trace is *indexed*: records are bucketed per component, per event,
 and per ``(component, event)`` pair, so :meth:`Trace.select` and
 :meth:`Trace.contains_sequence` answer from the relevant bucket instead
-of scanning the whole run.  With ``PerfFlags.lazy_trace_index`` on
-(default) the buckets are built lazily on first query rather than per
-``log()`` call, which keeps the hot logging path to a single append.  It can also be
-*bounded* (``max_records``): the oldest records are evicted ring-buffer
-style (``dropped`` counts them) while the indexes stay consistent, so
-long-running simulations hold memory constant.  Subscribers still see
-every record as it is logged, bounded or not -- streaming consumers
-(metrics, live dashboards) never miss anything.
+of scanning the whole run.  The buckets are built lazily on first query
+rather than per ``log()`` call, which keeps the hot logging path to a
+single append.  It can also be *bounded* (``max_records``): the oldest
+records are evicted ring-buffer style (``dropped`` counts them) while
+the indexes stay consistent, so long-running simulations hold memory
+constant.  Subscribers still see every record as it is logged, bounded
+or not -- streaming consumers (metrics, live dashboards) never miss
+anything.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, TYPE_CHECKING
-
-from .perf import PerfFlags
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -79,10 +77,7 @@ class Trace:
         self._seq += 1
         rec = TraceRecord(self.sim.now, component, event, details, self._seq)
         self._records.append(rec)
-        if PerfFlags.lazy_trace_index:
-            self._pending.append(rec)
-        else:
-            self._index_one(rec)
+        self._pending.append(rec)
         if self.max_records is not None:
             while len(self._records) > self.max_records:
                 self._evict_oldest()
@@ -103,10 +98,10 @@ class Trace:
     def _evict_oldest(self) -> None:
         # The globally oldest record is also the oldest entry of each of
         # its index buckets (buckets are filled in log order), so every
-        # eviction is an O(1) popleft from all four deques.  With lazy
-        # indexing, records still sitting in _pending (a suffix of
-        # _records) were never indexed, so when eviction catches up to
-        # them only _pending needs the popleft.
+        # eviction is an O(1) popleft from all four deques.  Records
+        # still sitting in _pending (a suffix of _records) were never
+        # indexed, so when eviction catches up to them only _pending
+        # needs the popleft.
         old = self._records.popleft()
         self.dropped += 1
         if self._pending and self._pending[0] is old:

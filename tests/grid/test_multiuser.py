@@ -1,7 +1,5 @@
 """Multi-tenant grids: fair-share throttles, rollups, and agent isolation."""
 
-import warnings
-
 import pytest
 
 from repro import GridTestbed, JobDescription
@@ -121,62 +119,6 @@ class TestPerUserAccounting:
         assert fairness([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
         assert fairness([]) == 1.0
         assert fairness([0.0, 0.0]) == 1.0
-
-
-class TestSchedulerIdentityShims:
-    """The single-user-era `user` arguments: warn when redundant, raise
-    when cross-wired, so N-agent wiring bugs cannot pass silently."""
-
-    @pytest.fixture(autouse=True)
-    def _warn_path(self, monkeypatch):
-        # These tests cover the deprecation *warn* path; strict mode
-        # (REPRO_STRICT_API=1, on in CI) would turn every shim call into
-        # a TypeError before the behaviour under test is reached.
-        monkeypatch.delenv("REPRO_STRICT_API", raising=False)
-
-    def _scheduler(self):
-        tb, _ = _small_grid(users=1, jobs=1)
-        return tb.agents["u0"].scheduler
-
-    def test_legacy_user_arg_warns(self):
-        sched = self._scheduler()
-        with pytest.warns(DeprecationWarning):
-            sched.jobs_for_user("u0")
-        with pytest.warns(DeprecationWarning):
-            sched.gridmanager_exited("u0")
-        with pytest.warns(DeprecationWarning):
-            sched.release_credential_holds("u0")
-
-    def test_modern_calls_do_not_warn(self):
-        sched = self._scheduler()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sched.jobs_for_user()
-            sched.release_credential_holds()
-
-    def test_cross_wired_identity_raises(self):
-        sched = self._scheduler()
-        for method, call in [
-                ("jobs_for_user", lambda: sched.jobs_for_user("mallory")),
-                ("gridmanager_exited",
-                 lambda: sched.gridmanager_exited("mallory")),
-                ("release_credential_holds",
-                 lambda: sched.release_credential_holds("mallory"))]:
-            with pytest.raises(ValueError, match="cross-wired"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    call()
-
-    def test_hold_for_credentials_legacy_signature(self):
-        sched = self._scheduler()
-        with pytest.warns(DeprecationWarning):
-            sched.hold_for_credentials("u0", reason="proxy expired")
-        held = [j for j in sched.jobs.values()]
-        with pytest.raises(ValueError, match="cross-wired"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                sched.hold_for_credentials("mallory", reason="nope")
-        assert held is not None
 
 
 class TestMultiuserScenarios:

@@ -14,7 +14,7 @@ from repro.sim import rpc
 def test_profile_prints_hotspots_and_rpc_table(capsys):
     assert main(["quickstart", "--until", "600", "--top", "5"]) == 0
     out = capsys.readouterr().out
-    assert "scenario quickstart seed 0 (optimized)" in out
+    assert "scenario quickstart seed 0: sim time" in out
     assert "Ordered by: cumulative time" in out
     assert "per-daemon RPC counts" in out
     # per-instance daemons collapse onto family rows
@@ -22,12 +22,6 @@ def test_profile_prints_hotspots_and_rpc_table(capsys):
     assert "gatekeeper" in out
     # the tally hook is uninstalled afterwards
     assert rpc.RPC_STATS is None
-
-
-def test_profile_legacy_mode(capsys):
-    assert main(["quickstart", "--until", "400", "--legacy"]) == 0
-    out = capsys.readouterr().out
-    assert "(legacy)" in out
 
 
 def test_unknown_scenario_fails_fast():

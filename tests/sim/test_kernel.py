@@ -420,9 +420,6 @@ def test_timeout_until_cancelled_is_tombstoned():
 
 def test_tombstone_compaction_preserves_survivors():
     """Compaction drops dead entries; live timers still fire in order."""
-    from repro.sim.perf import PerfFlags
-
-    assert PerfFlags.heap_compaction     # default-on in optimized mode
     sim = Simulator()
     doomed = [sim.schedule(float(i + 1), lambda: None) for i in range(600)]
     survivors = []
@@ -438,25 +435,6 @@ def test_tombstone_compaction_preserves_survivors():
     assert len(sim._heap) == 3 + sim._tombstones
     sim.run()
     assert survivors == [(700.0, 700.0), (800.0, 800.0), (900.0, 900.0)]
-
-
-def test_tombstone_compaction_disabled_in_legacy_mode():
-    """With the flag off the heap keeps tombstones until they pop."""
-    from repro.sim.perf import perf_mode
-
-    with perf_mode(False):
-        sim = Simulator()
-        doomed = [sim.schedule(float(i + 1), lambda: None)
-                  for i in range(600)]
-        fired = []
-        sim.schedule(700.0, lambda: fired.append(sim.now))
-        for ev in doomed:
-            ev.cancel()
-        assert len(sim._heap) == 601   # nothing compacted
-        assert sim._tombstones == 600
-        sim.run()
-    assert fired == [700.0]
-    assert not sim._heap
 
 
 def test_compaction_below_threshold_keeps_heap():

@@ -1,10 +1,10 @@
-"""Targeted tests for the ``rpc_inline`` fast path.
+"""Targeted tests for the inline RPC fast path.
 
-``tests/sim/test_perf_equivalence.py`` proves digest identity over whole
-scenarios; these tests pin the individual semantics the inline path must
-preserve -- copy isolation, fallbacks, in-flight failure windows -- and
-the one observable it is allowed to change (the ``rpc_fresh_results``
-copy skip).
+``tests/sim/test_golden_digests.py`` pins whole-scenario digests; these
+tests pin the individual semantics the inline path must preserve -- copy
+isolation, fallbacks, in-flight failure windows, agreement with the real
+Datagram path -- and the one observable it is allowed to change (the
+``rpc_fresh_results`` copy skip).
 """
 
 import pytest
@@ -19,8 +19,8 @@ from repro.sim import (
     Simulator,
     call,
     notify,
+    rpc,
 )
-from repro.sim.perf import PerfFlags, perf_mode
 
 
 class Inlineable(Service):
@@ -72,7 +72,6 @@ def run_call(sim, gen):
 
 @pytest.fixture
 def pool():
-    assert PerfFlags.rpc_inline  # default-on; these tests exercise it
     sim = Simulator(seed=11)
     Network(sim, latency=0.1, jitter=0.0)
     client = Host(sim, "client")
@@ -198,16 +197,27 @@ def test_notify_inline_is_one_way(pool):
     assert sim.network.sent == 1  # no response leg
 
 
+class RealPathTwin(Inlineable):
+    """Same ping as a generator handler, which always takes the real
+    Datagram + serve-process path; it returns before its first yield,
+    so its timing is the plain handler's."""
+
+    def handle_ping(self, ctx, text):
+        return text.upper()
+        yield  # pragma: no cover - makes this a generator handler
+
+
 def test_inline_and_real_paths_agree_on_rng_and_timing():
     """Same seed, jitter and loss: identical completion times, counters
-    and outcomes with the flag on and off."""
+    and outcomes on the inline path and the real path."""
 
-    def one_run():
+    def one_run(service_cls):
         sim = Simulator(seed=77)
         net = Network(sim, latency=0.1, jitter=0.4, loss_rate=0.2)
         a = Host(sim, "a")
         b = Host(sim, "b")
-        Inlineable(b)
+        service_cls(b)
+        inline = rpc._inline_plan(sim, "b", "svc", "ping") is not None
         events = []
 
         def proc():
@@ -221,10 +231,9 @@ def test_inline_and_real_paths_agree_on_rng_and_timing():
 
         sim.spawn(proc())
         sim.run()
-        return events, net.sent, net.delivered, net.dropped
+        return inline, (events, net.sent, net.delivered, net.dropped)
 
-    with perf_mode(True):
-        fast = one_run()
-    with perf_mode(True, rpc_inline=False):
-        slow = one_run()
+    fast_inline, fast = one_run(Inlineable)
+    slow_inline, slow = one_run(RealPathTwin)
+    assert fast_inline and not slow_inline
     assert fast == slow

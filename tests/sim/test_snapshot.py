@@ -4,7 +4,7 @@ The property suite (``test_snapshot_properties.py``) checks the digest
 contract end-to-end; these tests pin the machinery underneath it: heap
 canonicalization across tombstone compaction, RNG stream creation-order
 guards, the canonical state walker and JSON round-trip, divergence
-detection, the perf-mode comparability guard, and fork-based restore.
+detection, and fork-based restore.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.chaos.digest import run_digest
 from repro.grid.scenarios import get_scenario
 from repro.sim import Simulator
-from repro.sim.perf import perf_mode
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
     ForkPoint,
@@ -75,25 +74,27 @@ class TestHeapCanonicalization:
         assert fired_a == fired_b
 
     def test_snapshot_straddling_automatic_compaction(self):
-        """Capture just before the auto-compaction threshold trips, let
-        the live run cross it, and compare against a run that never
-        compacted: fingerprints at the far side must agree."""
-        with perf_mode(True, heap_compaction=True):
-            compacting = _sim_with_tombstones()
-            mid = kernel_fingerprint(compacting)   # canonicalizes
-            # push past the threshold: >256 tombstones and majority dead
-            extra = [compacting.timeout(2000.0 + i) for i in range(600)]
-            for t in extra:
-                t.cancel()                          # auto-compaction fires
-            assert compacting._tombstones < 600
-        with perf_mode(False):
-            legacy = _sim_with_tombstones()
-            assert kernel_fingerprint(legacy) == mid   # compacts too
-            extra = [legacy.timeout(2000.0 + i) for i in range(600)]
-            for t in extra:
-                t.cancel()                          # tombstones pile up
-            assert legacy._tombstones == 600
-        assert kernel_fingerprint(compacting) == kernel_fingerprint(legacy)
+        """Two heaps with the same history: one stays below the
+        auto-compaction threshold (it is canonicalized after every
+        cancel), the other crosses it (>256 tombstones, majority dead)
+        and compacts itself mid-way.  Fingerprints on both sides of
+        the threshold must agree."""
+        crossing = _sim_with_tombstones()
+        below = _sim_with_tombstones()
+        # 300 dead of 600 is no majority: nothing compacted yet
+        assert crossing._tombstones == 300
+        assert len(crossing._heap) == 600
+        below.compact_heap()
+        for t in [crossing.timeout(2000.0 + i) for i in range(600)]:
+            t.cancel()
+        for t in [below.timeout(2000.0 + i) for i in range(600)]:
+            t.cancel()
+            below.compact_heap()
+            assert below._tombstones == 0
+        # crossing tripped at 601 dead of 1200 and kept a residue
+        assert 0 < crossing._tombstones < 300
+        assert len(crossing._heap) == 300 + crossing._tombstones
+        assert kernel_fingerprint(crossing) == kernel_fingerprint(below)
 
 
 class TestRngSnapshot:
@@ -187,14 +188,6 @@ class TestCaptureVerify:
         with pytest.raises(SnapshotMismatch) as exc:
             verify(tb, snap)
         assert "network" in exc.value.divergence["path"]
-
-    def test_verify_rejects_cross_mode_comparison(self):
-        tb = _testbed()
-        snap = capture(tb, scenario="three-site")
-        with perf_mode(False):        # capture ran under the defaults
-            with pytest.raises(SnapshotMismatch) as exc:
-                verify(tb, snap)
-        assert "perf flags" in str(exc.value)
 
     def test_json_round_trip_preserves_digest(self, tmp_path):
         tb = _testbed()
