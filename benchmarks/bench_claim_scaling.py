@@ -11,7 +11,7 @@ the simulator's event throughput (a proxy for agent overhead).
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.grid.config import AgentSpec, TestbedConfig
+from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 from _scenarios import drain
 
@@ -25,7 +25,7 @@ def run_point(n_jobs: int):
 
     tb = GridTestbed(TestbedConfig(seed=706))
     for i in range(SITES):
-        tb.add_site(f"site{i}", scheduler="pbs", cpus=CPUS_PER_SITE)
+        tb.add_site(SiteSpec(f"site{i}", scheduler="pbs", cpus=CPUS_PER_SITE))
     agent = tb.add_agent(AgentSpec("user", broker_kind="userlist"))
     wall0 = time.perf_counter()
     ids = [agent.submit(JobDescription(runtime=RUNTIME))
