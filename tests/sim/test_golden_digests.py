@@ -23,7 +23,17 @@ import pytest
 
 from repro.chaos.digest import digest_parts, run_digest
 from repro.grid.scenarios import get_scenario
-from repro.sim import Host, Network, RPCTimeout, Service, Simulator, call
+from repro.sim import (
+    AuthenticationError,
+    Host,
+    Network,
+    RemoteError,
+    RPCTimeout,
+    Service,
+    Simulator,
+    call,
+    notify,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/sim/test_golden_digests.py"
@@ -86,6 +96,119 @@ def _rpc_jitter_loss() -> str:
     return _hash([events, net.sent, net.delivered, net.dropped])
 
 
+class _Kinds(Service):
+    """Every handler shape: sync, generator, typed error, fresh result,
+    one-way note.  Side effects go to a log shared across restarts."""
+
+    service_name = "kinds"
+    rpc_fresh_results = ("fresh",)
+
+    def __init__(self, host, log, **kw):
+        super().__init__(host, **kw)
+        self.log = log
+
+    def _note(self, *what):
+        self.log.append([repr(self.sim.now), self.name, *what])
+
+    def handle_ping(self, ctx, text):
+        self._note("ping", text, ctx.caller_host, ctx.principal)
+        return text.upper()
+
+    def handle_slow(self, ctx, duration):
+        self._note("slow-start", duration, ctx.principal)
+        yield self.sim.timeout(duration)
+        self._note("slow-end", duration)
+        return {"slept": duration}
+
+    def handle_boom(self, ctx):
+        self._note("boom")
+        raise ValueError("kaboom")
+
+    def handle_fresh(self, ctx, n):
+        self._note("fresh", n)
+        return {"n": n, "items": list(range(n))}
+
+    def handle_note(self, ctx, n):
+        self._note("note", n)
+
+
+class _Gate:
+    """Accepts one credential, rejects every other."""
+
+    def authorize(self, credential, now):
+        if credential != "alice":
+            raise AuthenticationError(f"rejected {credential!r}")
+        return "alice-local"
+
+
+#: (service, method, credential, kwargs) cycled through by each client.
+_KIND_CALLS = (
+    ("kinds", "ping", None, {"text": "hi"}),
+    ("kinds", "slow", None, {"duration": 0.5}),
+    ("kinds", "boom", None, {}),
+    ("kinds", "fresh", None, {"n": 3}),
+    ("gated", "ping", "alice", {"text": "ok"}),
+    ("gated", "ping", "mallory", {"text": "no"}),
+    ("gated", "slow", "alice", {"duration": 0.3}),
+    ("gated", "slow", "mallory", {"duration": 0.3}),
+)
+
+
+def _rpc_handler_kinds_run(jitter: float) -> list:
+    sim = Simulator(seed=77)
+    net = Network(sim, latency=0.1, jitter=jitter, loss_rate=0.2)
+    clients = [Host(sim, "a"), Host(sim, "c")]
+    server = Host(sim, "b")
+    log = []
+
+    def boot(host):
+        _Kinds(host, log)
+        _Kinds(host, log, name="gated", authorizer=_Gate())
+
+    server.add_boot_action(boot)
+    boot(server)
+    events = []
+
+    def client(host, offset):
+        yield sim.timeout(offset)
+        for i in range(24):
+            service, method, cred, args = \
+                _KIND_CALLS[(i + len(host.name)) % len(_KIND_CALLS)]
+            notify(host, "b", "kinds", "note", n=i)
+            try:
+                value = yield from call(host, "b", service, method,
+                                        timeout=2.0, credential=cred,
+                                        **args)
+            except RemoteError as exc:
+                value = ["remote", exc.kind, str(exc)]
+            except RPCTimeout:
+                value = ["timeout"]
+            except AuthenticationError as exc:
+                value = ["auth", str(exc)]
+            events.append([repr(sim.now), host.name, i, value])
+
+    for k, host in enumerate(clients):
+        sim.spawn(client(host, 0.05 * k))
+    # One long outage, then short crash+restart blips that in-flight
+    # requests straddle and running generator handlers die in.
+    outages = [(3.0, 6.0)] + [(t, t + 0.04) for t in (8.37, 10.47, 11.3,
+                                                      12.64, 15.3, 17.2,
+                                                      20.5, 23.0)]
+    for down, up in outages:
+        sim.schedule(down, lambda: server.crash())
+        sim.schedule(up, lambda: server.restart())
+    sim.run()
+    return [events, log, net.sent, net.delivered, net.dropped]
+
+
+def _rpc_handler_kinds() -> str:
+    """Sync, generator, error, fresh and one-way handlers on an open and
+    an authorized service, across server crashes, with and without
+    jitter: pins the RPC layer's draws, heap order and failure windows
+    for every handler shape."""
+    return _hash([_rpc_handler_kinds_run(jitter) for jitter in (0.0, 0.4)])
+
+
 def _cases() -> dict:
     """Case id -> zero-argument function computing its digest."""
     cases = {}
@@ -99,6 +222,7 @@ def _cases() -> dict:
         cases[f"part/three-site/seed=2/until=3000/{part}"] = \
             functools.partial(_part_digest, "three-site", 2, 3000.0, part)
     cases["rpc/jitter-loss/seed=77"] = _rpc_jitter_loss
+    cases["rpc/handler-kinds/seed=77"] = _rpc_handler_kinds
     return cases
 
 
