@@ -24,7 +24,7 @@ from .errors import (
 from .failures import FailureInjector
 from .hosts import Host, StableNamespace, StableStorage
 from .kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from .network import Datagram, Mailbox, Network
+from .network import Network
 from .rng import RngRegistry
 from .rpc import CallContext, Service, call, notify
 from .stats import Counter, Gauge, Histogram, MetricsRegistry
@@ -33,8 +33,8 @@ from .trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf", "AnyOf", "AuthenticationError", "AuthorizationError",
-    "CallContext", "Counter", "Datagram", "Event", "FailureInjector",
-    "Gauge", "Histogram", "Host", "HostDown", "Interrupt", "Mailbox",
+    "CallContext", "Counter", "Event", "FailureInjector",
+    "Gauge", "Histogram", "Host", "HostDown", "Interrupt",
     "MetricsRegistry", "Network", "Process", "ProcessKilled",
     "RemoteError", "RngRegistry", "RPCError", "RPCTimeout",
     "Lock", "Semaphore", "Service", "ServiceUnavailable",

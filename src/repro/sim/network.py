@@ -1,41 +1,35 @@
 """Simulated network: latency, jitter, loss, and partitions.
 
-The network moves *datagrams* between named services on hosts.  Delivery is
-best-effort, exactly matching the failure model Condor-G's protocols were
-designed for:
+:meth:`Network.send` carries every message between named services on
+hosts.  Delivery is best-effort, exactly matching the failure model
+Condor-G's protocols were designed for:
 
-* the destination host may be down -> silent drop;
-* a partition may separate the endpoints -> silent drop;
-* the loss rate may eat the message -> silent drop;
-* otherwise the message arrives after ``latency + U(0, jitter)`` seconds,
-  evaluated per-message from the ``"network"`` RNG stream.
+* the source host is down, or a partition separates the endpoints, at
+  send time -> silent drop;
+* the loss rate eats the message (WAN traffic only) -> silent drop;
+* otherwise the message arrives after the link latency plus
+  ``U(0, jitter)`` seconds, drawn per message from the ``"network"`` RNG
+  stream;
+* at arrival a partition, a crashed destination or a missing service
+  still drops it silently; else the sender's arrival callback runs with
+  the service object registered there *at that moment* (a service
+  restarted while the message was in flight receives it).
 
-Anything request/response-shaped is layered on top in :mod:`repro.sim.rpc`.
+The network carries no payloads: the sender's callback closes over
+whatever crosses the wire, already copied.  Request/response is layered
+on top in :mod:`repro.sim.rpc`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
-from .fastcopy import fast_deepcopy
+from .kernel import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
     from .kernel import Simulator
-
-
-@dataclass
-class Datagram:
-    src: str                     # source host name
-    dst: str                     # destination host name
-    service: str                 # destination service name
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = self.payload.get("kind", "?")
-        return f"<Datagram {self.src}->{self.dst}/{self.service} {kind}>"
 
 
 class Network:
@@ -124,24 +118,20 @@ class Network:
         return self.latency
 
     # -- delivery -------------------------------------------------------------
-    def delay(self) -> float:
-        return self.latency + self._rng.uniform(0.0, self.jitter)
-
     def send(
         self,
         src: "Host",
         dst_name: str,
         service: str,
-        payload: dict[str, Any],
+        on_arrive: Callable[[Any], None],
     ) -> None:
-        """Fire-and-forget datagram; drops are silent (caller must timeout)."""
+        """Fire-and-forget message; drops are silent (caller must timeout).
+
+        On delivery ``on_arrive`` is called with the destination's service
+        object.
+        """
         self.sent += 1
-        # Deep-copy models serialization: no object sharing across hosts.
-        dgram = Datagram(src.name, dst_name, service, fast_deepcopy(payload))
-        if not src.up:
-            self.dropped += 1
-            return
-        if not self.reachable(src.name, dst_name):
+        if not src.up or not self.reachable(src.name, dst_name):
             self.dropped += 1
             return
         # Loss models the WAN: traffic inside one site (same non-empty
@@ -157,59 +147,20 @@ class Network:
             return
         latency = self._base_latency(src, dst_host, dst_name) \
             + self._rng.uniform(0.0, self.jitter)
-        self.sim.schedule(latency, lambda: self._arrive(dgram))
+        src_name = src.name
 
-    def _arrive(self, dgram: Datagram) -> None:
-        # Partitions/crashes that happened in flight still stop delivery.
-        if not self.reachable(dgram.src, dgram.dst):
-            self.dropped += 1
-            return
-        dst = self.sim.hosts.get(dgram.dst)
-        if dst is None or not dst.up:
-            self.dropped += 1
-            return
-        service = dst.get_service(dgram.service)
-        if service is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        deliver: Callable[[Datagram], None] = getattr(service, "deliver")
-        deliver(dgram)
+        def arrive(_ev) -> None:
+            # Partitions/crashes that happened in flight still stop
+            # delivery.
+            if not self.reachable(src_name, dst_name):
+                self.dropped += 1
+                return
+            dst = self.sim.hosts.get(dst_name)
+            svc = dst.get_service(service) if dst is not None else None
+            if svc is None:
+                self.dropped += 1
+                return
+            self.delivered += 1
+            on_arrive(svc)
 
-
-class Mailbox:
-    """A service that queues datagrams for a consuming process.
-
-    Used for one-way streams (e.g. GASS stdout chunks): producers ``send``
-    datagrams at the mailbox's service name; the consumer process blocks on
-    :meth:`get`.
-    """
-
-    def __init__(self, host: "Host", name: str):
-        self.sim = host.sim
-        self.host = host
-        self.name = name
-        self._queue: list[Datagram] = []
-        self._waiter = None
-        host.register_service(name, self)
-
-    def deliver(self, dgram: Datagram) -> None:
-        self._queue.append(dgram)
-        if self._waiter is not None and not self._waiter.triggered:
-            waiter, self._waiter = self._waiter, None
-            waiter.succeed(self._queue.pop(0))
-
-    def get(self):
-        """Event yielding the next datagram (FIFO)."""
-        ev = self.sim.event(name=f"mailbox:{self.name}")
-        if self._queue:
-            ev.succeed(self._queue.pop(0))
-        else:
-            if self._waiter is not None and not self._waiter.triggered:
-                raise SimulationError(
-                    f"mailbox {self.name} already has a waiting consumer")
-            self._waiter = ev
-        return ev
-
-    def close(self) -> None:
-        self.host.unregister_service(self.name)
+        Timeout(self.sim, latency).callbacks.append(arrive)

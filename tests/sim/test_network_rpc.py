@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Host,
-    Mailbox,
     Network,
     RemoteError,
     RPCTimeout,
@@ -198,35 +197,16 @@ def test_notify_is_one_way(net_pair):
     assert got == [7]
 
 
+def test_notify_without_network_raises():
+    sim = Simulator(seed=3)
+    with pytest.raises(RuntimeError, match="no Network"):
+        notify(Host(sim, "lonely"), "server", "echo", "ping", text="x")
+
+
 def test_ctx_reports_caller(net_pair):
     sim, net, client, server = net_pair
     box = run_call(sim, call(client, "server", "echo", "whoami"))
     assert box["value"] == "client"
-
-
-def test_mailbox_fifo_and_blocking():
-    sim = Simulator(seed=3)
-    Network(sim, latency=0.1, jitter=0.0)
-    producer = Host(sim, "producer")
-    consumer = Host(sim, "consumer")
-    box = Mailbox(consumer, "stream")
-    got = []
-
-    def produce():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            sim.network.send(producer, "consumer", "stream", {"n": i})
-
-    def consume():
-        for _ in range(3):
-            dgram = yield box.get()
-            got.append((sim.now, dgram.payload["n"]))
-
-    sim.spawn(produce())
-    sim.spawn(consume())
-    sim.run()
-    assert [n for _, n in got] == [0, 1, 2]
-    assert got[0][0] == pytest.approx(1.1)
 
 
 def test_latency_jitter_deterministic_with_seed():

@@ -1,10 +1,10 @@
-"""Targeted tests for the inline RPC fast path.
+"""Targeted tests for the RPC layer's request/response semantics.
 
-``tests/sim/test_golden_digests.py`` pins whole-scenario digests; these
-tests pin the individual semantics the inline path must preserve -- copy
-isolation, fallbacks, in-flight failure windows, agreement with the real
-Datagram path -- and the one observable it is allowed to change (the
-``rpc_fresh_results`` copy skip).
+``tests/sim/test_golden_digests.py`` pins whole-scenario digests and the
+RPC layer's draws and heap order (``rpc/*`` cases); these tests pin the
+individual semantics -- copy isolation, handler shapes, authorization,
+in-flight failure windows -- and the one observable
+``rpc_fresh_results`` changes (the reply copy skip).
 """
 
 import pytest
@@ -19,11 +19,10 @@ from repro.sim import (
     Simulator,
     call,
     notify,
-    rpc,
 )
 
 
-class Inlineable(Service):
+class Svc(Service):
     service_name = "svc"
     rpc_fresh_results = ("fresh",)
 
@@ -76,11 +75,11 @@ def pool():
     Network(sim, latency=0.1, jitter=0.0)
     client = Host(sim, "client")
     server = Host(sim, "server")
-    svc = Inlineable(server)
+    svc = Svc(server)
     return sim, client, server, svc
 
 
-def test_inline_roundtrip_value_timing_counters(pool):
+def test_roundtrip_value_timing_counters(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "ping", text="hi"))
     assert box["value"] == "HI"
@@ -89,14 +88,14 @@ def test_inline_roundtrip_value_timing_counters(pool):
     assert sim.network.delivered == 2
 
 
-def test_inline_remote_error_stays_typed(pool):
+def test_remote_error_stays_typed(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "boom"))
     assert isinstance(box["error"], RemoteError)
     assert box["error"].kind == "ValueError"
 
 
-def test_inline_result_is_copied_unless_fresh(pool):
+def test_result_is_copied_unless_fresh(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "state"))
     assert box["value"] == {"hits": 1}
@@ -113,7 +112,7 @@ def test_fresh_result_skips_the_copy(pool):
     assert id(box["value"]) == svc.last_result_id
 
 
-def test_inline_args_are_snapshotted_at_send_time(pool):
+def test_args_are_snapshotted_at_send_time(pool):
     sim, client, server, svc = pool
     payload = {"values": [1, 2]}
 
@@ -127,7 +126,7 @@ def test_inline_args_are_snapshotted_at_send_time(pool):
     assert svc.state["data"] == {"values": [1, 2]}
 
 
-def test_generator_handler_falls_back_to_real_path(pool):
+def test_generator_handler_replies_when_drained(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "gen",
                              timeout=100.0, duration=5.0))
@@ -135,7 +134,7 @@ def test_generator_handler_falls_back_to_real_path(pool):
     assert sim.now == pytest.approx(5.2)
 
 
-def test_authorized_service_falls_back_and_enforces_auth():
+def test_authorized_service_enforces_auth():
     class Gate:
         def authorize(self, credential, now):
             if credential != "ok":
@@ -146,7 +145,7 @@ def test_authorized_service_falls_back_and_enforces_auth():
     Network(sim, latency=0.1, jitter=0.0)
     client = Host(sim, "client")
     server = Host(sim, "server")
-    Inlineable(server, authorizer=Gate())
+    Svc(server, authorizer=Gate())
     box = run_call(sim, call(client, "server", "svc", "ping",
                              credential="nope", text="hi"))
     assert isinstance(box["error"], AuthenticationError)
@@ -155,7 +154,7 @@ def test_authorized_service_falls_back_and_enforces_auth():
     Network(sim2, latency=0.1, jitter=0.0)
     client2 = Host(sim2, "client")
     server2 = Host(sim2, "server")
-    Inlineable(server2, authorizer=Gate())
+    Svc(server2, authorizer=Gate())
     box = run_call(sim2, call(client2, "server", "svc", "ping",
                               credential="ok", text="hi"))
     assert box["value"] == "HI"
@@ -177,11 +176,11 @@ def test_crash_restart_in_flight_serves_via_new_instance(pool):
     def swap():
         server.crash()
         server.restart()
-        replacement.append(Inlineable(server))
+        replacement.append(Svc(server))
 
     # Request leaves at t=0, arrives t=0.1; the swap happens in between,
-    # so the arrival must fall back to delivering a real datagram to the
-    # *new* service object -- exactly what an in-flight message would hit.
+    # so the arrival must be served by the *new* service object -- exactly
+    # what an in-flight message would hit.
     sim.schedule(0.05, swap)
     box = run_call(sim, call(client, "server", "svc", "ping",
                              timeout=5.0, text="hi"))
@@ -189,51 +188,9 @@ def test_crash_restart_in_flight_serves_via_new_instance(pool):
     assert replacement[0].state["hits"] == 0  # sanity: new instance used
 
 
-def test_notify_inline_is_one_way(pool):
+def test_notify_is_one_way(pool):
     sim, client, server, svc = pool
     notify(client, "server", "svc", "record", data={"n": 7})
     sim.run()
     assert svc.state["data"] == {"n": 7}
     assert sim.network.sent == 1  # no response leg
-
-
-class RealPathTwin(Inlineable):
-    """Same ping as a generator handler, which always takes the real
-    Datagram + serve-process path; it returns before its first yield,
-    so its timing is the plain handler's."""
-
-    def handle_ping(self, ctx, text):
-        return text.upper()
-        yield  # pragma: no cover - makes this a generator handler
-
-
-def test_inline_and_real_paths_agree_on_rng_and_timing():
-    """Same seed, jitter and loss: identical completion times, counters
-    and outcomes on the inline path and the real path."""
-
-    def one_run(service_cls):
-        sim = Simulator(seed=77)
-        net = Network(sim, latency=0.1, jitter=0.4, loss_rate=0.2)
-        a = Host(sim, "a")
-        b = Host(sim, "b")
-        service_cls(b)
-        inline = rpc._inline_plan(sim, "b", "svc", "ping") is not None
-        events = []
-
-        def proc():
-            for i in range(20):
-                try:
-                    value = yield from call(a, "b", "svc", "ping",
-                                            timeout=3.0, text=str(i))
-                except RPCTimeout:
-                    value = None
-                events.append((sim.now, value))
-
-        sim.spawn(proc())
-        sim.run()
-        return inline, (events, net.sent, net.delivered, net.dropped)
-
-    fast_inline, fast = one_run(Inlineable)
-    slow_inline, slow = one_run(RealPathTwin)
-    assert fast_inline and not slow_inline
-    assert fast == slow
