@@ -143,3 +143,20 @@ def test_tuple_subclasses_are_not_flattened(tree):
     clone = fast_deepcopy([p])
     assert type(clone[0]) is Point
     assert clone[0] == p
+
+
+def test_fast_deepcopy_structural_and_fallback():
+    payload = {"a": [1, 2, {"b": (3, "x")}], "c": None}
+    copied = fast_deepcopy(payload)
+    assert copied == payload
+    assert copied is not payload
+    assert copied["a"][2] is not payload["a"][2]
+
+    class Weird:
+        def __init__(self):
+            self.v = [1]
+
+    obj = {"w": Weird()}
+    copied = fast_deepcopy(obj)
+    assert copied["w"] is not obj["w"]
+    assert copied["w"].v == [1]

@@ -446,3 +446,27 @@ def test_compaction_below_threshold_keeps_heap():
         ev.cancel()
     assert len(sim._heap) == 11    # 10 <= 256: all tombstones still there
     assert sim._tombstones == 10
+
+
+def test_cancelled_timeouts_are_compacted():
+    sim = Simulator(seed=0)
+    events = [sim.timeout(1000.0 + i) for i in range(2000)]
+    for ev in events:
+        ev.cancel()
+    # Compaction triggers once tombstones dominate the live heap.
+    sim.run(until=1.0)
+    assert len(sim._heap) < 100
+    assert sim._tombstones < 100
+
+
+def test_compaction_keeps_live_events_firing():
+    sim = Simulator(seed=0)
+    fired = []
+    for i in range(50):
+        ev = sim.timeout(10.0 + i)
+        ev.callbacks.append(lambda e, i=i: fired.append(i))
+    doomed = [sim.timeout(500.0 + i) for i in range(2000)]
+    for ev in doomed:
+        ev.cancel()
+    sim.run(until=100.0)
+    assert fired == list(range(50))
