@@ -119,9 +119,17 @@ class GridJob:
         job = cls(**record)
         if job.state == SUBMITTING:
             # We crashed mid-protocol.  If the commit had gone through we
-            # reconnect via jmid; otherwise the same seq is retried and
-            # the uncommitted remote JobManager (if any) aborts itself.
-            job.state = PENDING if job.committed else UNSUBMITTED
+            # reconnect via jmid; otherwise the same seq is retried, so
+            # the gatekeeper hands back the JobManager this seq already
+            # created (which may have received the commit before the
+            # crash) instead of starting a second one.  The retry bumps
+            # `attempts` again, so undo this attempt's bump: a crash of
+            # our own is not a remote failure.
+            if job.committed:
+                job.state = PENDING
+            else:
+                job.state = UNSUBMITTED
+                job.attempts = max(0, job.attempts - 1)
         elif job.state == STAGING:
             # Input staging is idempotent (replicas already placed are
             # found in the catalog and skipped), so just start over.

@@ -121,6 +121,51 @@ def test_gatekeeper_crash_before_commit_no_duplicate():
     assert len(tb.sites["wisc"].lrm.jobs) == 1
 
 
+def test_submit_host_crash_after_commit_before_persist_runs_once(
+        monkeypatch):
+    """The JobManager receives the commit, then the submit host crashes
+    before it persists ``committed``: the recovered agent retries with
+    the stored seq, the gatekeeper hands back the committed JobManager,
+    and the job runs exactly once."""
+    from repro.core.scheduler import CondorGScheduler
+    from repro.gass.server import GassServer
+    from repro.gram.jobmanager import JobManager
+
+    tb = make_tb()
+    agent = tb.add_agent(AgentSpec("alice"))
+    submit_host = agent.host
+    stored = {}
+    recovered = []
+
+    def reboot():
+        # The init script: the GASS server the JobManager stages from,
+        # then the queue rebuilt from stable storage.
+        submit_host.restart()
+        GassServer(submit_host, name=agent.gass.name)
+        recovered.append(CondorGScheduler(submit_host, "alice"))
+
+    commit = JobManager.handle_commit
+
+    def commit_then_crash(self, ctx):
+        if not stored:
+            [job] = agent.scheduler.jobs.values()
+            assert job.jmid and not job.committed
+            stored.update(seq=job.seq, jmid=job.jmid)
+            # The commit ACK is in flight; the agent never sees it.
+            tb.sim.schedule(0.0, submit_host.crash)
+            tb.sim.schedule(0.01, reboot)
+        return commit(self, ctx)
+
+    monkeypatch.setattr(JobManager, "handle_commit", commit_then_crash)
+    jid = agent.submit(JobDescription(runtime=100.0), resource="wisc-gk")
+    tb.sim.run(until=5000.0)
+    job = recovered[0].jobs[jid]
+    assert job.state == "DONE"
+    assert job.seq == stored["seq"] and job.jmid == stored["jmid"]
+    assert len(tb.sites["wisc"].lrm.jobs) == 1    # ran exactly once
+    assert tb.sim.trace.select("gatekeeper:wisc", "duplicate_submit")
+
+
 def test_transient_remote_failure_resubmitted_elsewhere():
     """A job killed by a site's walltime limit... stays FAILED (that is
     an application/site mismatch), but an infrastructure failure is
