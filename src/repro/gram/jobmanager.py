@@ -39,8 +39,8 @@ class JobManager(Service):
 
     COMMIT_WINDOW = 120.0      # abort if no commit arrives in time
     POLL_INTERVAL = 5.0
-    # status replies are built from scratch per call; the inline RPC
-    # path may hand them over without the serialization copy.
+    # status replies are built from scratch per call, so they may skip
+    # the reply's serialization copy.
     rpc_fresh_results = ("status",)
 
     def __init__(

@@ -44,8 +44,8 @@ class GridMonitor(Service):
     MAX_REPORT_FAILURES = 3
     #: consecutive empty snapshots before an idle monitor retires.
     MAX_IDLE_INTERVALS = 10
-    # each report batch is built from scratch; the inline RPC path may
-    # skip the response serialization copy on the ack.
+    # probe replies are built per call, so they may skip the reply's
+    # serialization copy.
     rpc_fresh_results = ("probe",)
 
     def __init__(

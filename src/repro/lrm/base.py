@@ -155,7 +155,7 @@ class LocalResourceManager(Service):
     service_name = "lrm"
     flavor = "generic"
     # poll builds its dict from scratch (public_view); safe to hand over
-    # uncopied on the inline RPC path.
+    # without the reply's serialization copy.
     rpc_fresh_results = ("poll",)
 
     def __init__(self, host: Host, slots: int, name: str = ""):
