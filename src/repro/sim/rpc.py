@@ -19,9 +19,9 @@ Usage::
     value = yield from call(my_host, "server-host", "echo", "ping",
                             timeout=5.0, text="hi")
 
-There is one path.  :func:`call` and :func:`notify` copy the arguments
-and credential (serialization: nothing is shared across hosts) and hand
-one :meth:`~repro.sim.network.Network.send` a callback.  When the
+How a request travels: :func:`call` and :func:`notify` copy the
+arguments and credential (serialization: nothing is shared across hosts)
+and hand :meth:`~repro.sim.network.Network.send` a callback.  When the
 request arrives, that callback authorizes it, runs the handler and --
 for calls -- sends the reply through the same ``send`` to the caller's
 pending table.  A generator handler is drained by one process on the
