@@ -2,9 +2,9 @@
 
 ``golden_digests.json`` (next to this file) pins the chaos run digest of
 each light registered scenario, the per-component hashes behind one
-digest, and a raw RPC-layer fingerprint.  Optimizations must leave every
-value untouched; a change that moves one is a behaviour change, and is
-re-pinned in the same change with its reason stated.
+digest, and two raw RPC-layer fingerprints.  Optimizations must leave
+every value untouched; a change that moves one is a behaviour change, and
+is re-pinned in the same change with its reason stated.
 
 Regenerate the table with::
 
