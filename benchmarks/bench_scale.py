@@ -93,9 +93,9 @@ CELLS = {
 }
 
 #: RPC methods that make up the GRAM status path: what the Grid Monitor
-#: exists to collapse (per-job polls and liveness probes) and what it
-#: replaces them with (batched reports + launch requests).
-_STATUS_METHODS = ("status", "probe")
+#: exists to collapse (per-job ``status`` probes) and what it replaces
+#: them with (batched reports + launch requests).
+_STATUS_METHODS = ("status",)
 _MONITOR_METHODS = ("monitor_report", "start_monitor")
 
 

@@ -173,7 +173,7 @@ def fault_surface(tb: "GridTestbed") -> dict[str, list[str]]:
                            if agent.factory is not None)
     # Grid Monitors (repro.gram.monitor) live on gatekeeper hosts when
     # any agent opted into monitored status fan-in; killing one must
-    # degrade cleanly to per-job polling until the client relaunches it.
+    # degrade cleanly to per-job probing until the client relaunches it.
     monitored = any(getattr(agent.scheduler, "grid_monitor", False)
                     for agent in tb.agents.values())
     return {

@@ -16,7 +16,9 @@ remote lifecycle:
   or reports that the job finished during the outage);
 * **resubmission** of jobs that failed for transient, non-application
   reasons;
-* **status callbacks** (a sink service) backed up by periodic polling.
+* **status callbacks** (a sink service) backed up by the probe itself:
+  each probe is a GRAM ``status`` request, so one answer both proves the
+  JobManager alive and carries its state.
 """
 
 from __future__ import annotations
@@ -57,13 +59,11 @@ class GridManager(Service):
     """Callback sink + the per-user submission/probing machinery."""
 
     PROBE_INTERVAL = 30.0
+    # The submit loop's tick while a job waits out `backoff_until`.
     POLL_INTERVAL = 20.0
-    # With a Grid Monitor reporting per site (§5.1), per-job polling is
-    # demoted to this slow backstop and skips sites with fresh reports.
-    MONITOR_BACKSTOP_INTERVAL = 300.0
     # A site's heartbeat is stale once this many report intervals pass
-    # in silence: per-job polling/probing resumes and the monitor is
-    # relaunched (with a cooldown so a dead gatekeeper isn't hammered).
+    # in silence: per-job probing resumes and the monitor is relaunched
+    # (with a cooldown so a dead gatekeeper isn't hammered).
     MONITOR_MISS_FACTOR = 2.5
     MONITOR_START_COOLDOWN = 60.0
 
@@ -100,11 +100,10 @@ class GridManager(Service):
         self.client = Gram2Client(host, credential_source=credential_source)
         self.exited = False
         self._wake = self.sim.event(name=f"gm-wake:{user}")
-        self._watch_wakes: list = []   # poll/probe loops asleep while idle
+        self._watch_wake = None   # the probe loop's, while it sits idle
         self._procs = [
             host.spawn(self._submit_loop(), name=f"gridmanager:{user}"),
             host.spawn(self._probe_loop(), name=f"gm-probe:{user}"),
-            host.spawn(self._poll_loop(), name=f"gm-poll:{user}"),
         ]
         self.sim.trace.log("gridmanager", "start", user=user)
 
@@ -117,11 +116,10 @@ class GridManager(Service):
             self._wake.succeed(None)
 
     def notify_watchable(self) -> None:
-        """A job just became watchable: rouse idle poll/probe loops."""
-        wakes, self._watch_wakes = self._watch_wakes, []
-        for ev in wakes:
-            if not ev.triggered and not ev._scheduled:
-                ev.succeed(None)
+        """A job just became watchable: rouse the idle probe loop."""
+        wake, self._watch_wake = self._watch_wake, None
+        if wake is not None and not wake.triggered and not wake._scheduled:
+            wake.succeed(None)
 
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
@@ -415,7 +413,7 @@ class GridManager(Service):
         """One batched status report from a site's Grid Monitor.
 
         Each entry goes through the same `_apply_remote_state` as a
-        callback or poll response, under the same superseded-``jmid``
+        callback or probe answer, under the same superseded-``jmid``
         staleness discipline: a report snapshotted before a resubmission
         must not touch the new attempt.  The report doubles as the
         site's liveness heartbeat, and a *watchable* job whose
@@ -511,8 +509,8 @@ class GridManager(Service):
             return
         if job.state == J.STAGING_OUT:
             # The remote side already reported DONE; the stage-out
-            # process owns the rest of the lifecycle.  A stale poll
-            # response must not regress the state machine.
+            # process owns the rest of the lifecycle.  A stale probe
+            # answer must not regress the state machine.
             return
         if state == "PENDING" and job.state != J.PENDING:
             job.state = J.PENDING
@@ -574,7 +572,7 @@ class GridManager(Service):
     def _idle_realign(self, interval: float):
         """Generator: sleep while nothing is watchable, then re-tick.
 
-        The poll/probe loops tick every `interval`; an idle pass (nothing
+        The probe loop ticks every `interval`; an idle pass (nothing
         to watch) is invisible (no trace, no RPC, no metrics), so
         skipping it preserves the digest *provided* the next real pass
         lands on the same tick.  Tick times accumulate as repeated
@@ -583,64 +581,13 @@ class GridManager(Service):
         result (timeout_until: no drift through a relative delay).
         """
         last_tick = self.sim.now
-        wake = self.sim.event(name=f"gm-watch:{self.user}")
-        self._watch_wakes.append(wake)
+        wake = self._watch_wake = self.sim.event(
+            name=f"gm-watch:{self.user}")
         yield wake
         tick = last_tick
         while tick <= self.sim.now:
             tick += interval
         yield self.sim.timeout_until(tick)
-
-    # -- polling backstop ----------------------------------------------------
-    def _poll_loop(self):
-        # With a Grid Monitor fanning in per-site reports, per-job
-        # status polling is pure redundancy while heartbeats are fresh:
-        # the loop drops to a slow backstop tick and skips every job at
-        # a freshly-reporting site, so it only pays RPCs for sites whose
-        # monitor has gone quiet (and for report loss, eventually).
-        interval = self.MONITOR_BACKSTOP_INTERVAL if self.grid_monitor \
-            else self.POLL_INTERVAL
-        while not self.exited:
-            yield self.sim.timeout(interval)
-            while not self.scheduler.watchable_count():
-                yield from self._idle_realign(interval)
-            for job in self.scheduler.watchable_jobs():
-                if self.grid_monitor and \
-                        self._monitor_fresh(job.contact or job.resource):
-                    continue
-                yield from self._poll_job(job)
-
-    def _poll_job(self, job: GridJob):
-        # Snapshot the attempt we are polling: the job can be
-        # resubmitted while the status RPC is in flight (a
-        # failure report for THIS attempt races with the next
-        # one), and applying a stale response to the new
-        # attempt would wreck its state machine.
-        jmid = job.jmid
-        if not jmid or job.is_terminal:
-            return    # mutated since the list was drawn
-        self.sim.metrics.counter("gridmanager.status_polls").inc()
-        try:
-            status = yield from self.client.status(job.contact, jmid)
-        except AuthenticationError as exc:
-            # An expired/bad proxy discovered while polling gets
-            # the same §5 hold-and-notify treatment as one
-            # discovered while probing.  Both the metric and the
-            # hold are gated on the attempt match: a stale error
-            # for a superseded attempt says nothing about the
-            # current attempt's credential.
-            if job.jmid == jmid:
-                self.sim.metrics.counter(
-                    "gridmanager.poll_credential_errors").inc()
-                self.scheduler.credential_problem(job, str(exc))
-            return
-        except RPCError:
-            return    # probe loop owns liveness handling
-        if job.jmid != jmid:
-            return    # superseded attempt: drop the response
-        self._apply_remote_state(
-            job, status["state"], status.get("failure_reason", ""),
-            status.get("exit_code"))
 
     # -- failure detection (§4.2 decision tree) ----------------------------------
     def _probe_loop(self):
@@ -666,26 +613,35 @@ class GridManager(Service):
                 yield from self._probe_job(job)
 
     def _probe_job(self, job: GridJob):
+        """Probe one JobManager with a ``status`` request (§4.2).
+
+        An answer proves the JobManager alive and carries its state; a
+        credential error holds the job (§5); silence walks the decision
+        tree.  Every yield can interleave with a resubmission, after
+        which this probe is about a dead attempt and must not touch the
+        job -- hence the ``jmid`` snapshot and the checks against it.
+        """
         outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")
-        # Same staleness discipline as the poll loop: every yield below
-        # can interleave with a resubmission, after which this probe is
-        # about a dead attempt and must not touch the job.
         jmid = job.jmid
         if not jmid or job.is_terminal:
             return    # mutated since the probe round's list was drawn
+        self.sim.metrics.counter("gridmanager.status_polls").inc()
         try:
-            yield from self.client.probe_jobmanager(job.contact, jmid)
-            outcomes.inc(label="alive")
-            return    # alive
-        except RPCTimeout:
-            pass
+            status = yield from self.client.status(job.contact, jmid)
         except AuthenticationError as exc:
-            outcomes.inc(label="credential")
             if job.jmid == jmid:
+                outcomes.inc(label="credential")
                 self.scheduler.credential_problem(job, str(exc))
             return
         except RPCError:
-            pass
+            pass    # silent (timeout or a vanished JobManager)
+        else:
+            outcomes.inc(label="alive")
+            if job.jmid == jmid:    # else superseded: drop the answer
+                self._apply_remote_state(
+                    job, status["state"], status.get("failure_reason", ""),
+                    status.get("exit_code"))
+            return
         if job.jmid != jmid:
             return
         outcomes.inc(label="silent")

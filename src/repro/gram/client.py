@@ -116,13 +116,6 @@ class Gram2Client:
                                  credential=self._credential(contact))
         return result
 
-    def probe_jobmanager(self, contact: str, jmid: str):
-        """Liveness probe; RPCTimeout means 'unresponsive'."""
-        result = yield from call(self.host, contact, f"jm:{jmid}", "probe",
-                                 timeout=self.rpc_timeout,
-                                 credential=self._credential(contact))
-        return result
-
     def ping_gatekeeper(self, contact: str):
         result = yield from call(self.host, contact, "gatekeeper", "ping",
                                  timeout=self.rpc_timeout,

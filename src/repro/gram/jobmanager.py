@@ -147,16 +147,13 @@ class JobManager(Service):
         return True
 
     def handle_status(self, ctx) -> dict:
+        """State report; also the GridManager's §4.2 liveness probe."""
         return {
             "jmid": self.jmid,
             "state": self.state,
             "failure_reason": self.failure_reason,
             "exit_code": self.exit_code,
         }
-
-    def handle_probe(self, ctx) -> bool:
-        """Liveness check used by the GridManager's failure detector."""
-        return True
 
     def handle_cancel(self, ctx):
         if self.local_id is not None and \
@@ -377,7 +374,7 @@ class JobManager(Service):
 
     # -- callbacks ------------------------------------------------------------
     def _notify_client(self):
-        """Push a status callback (best-effort; client also polls)."""
+        """Push a status callback (best-effort; probes also fetch state)."""
         if self.client_callback is None:
             return
         host_name, service = self.client_callback

@@ -88,8 +88,8 @@ class AgentSpec:
     max_submitted_per_resource: Optional[int] = None
     #: Grid Monitor fan-in (§5.1): the GridManager launches one status
     #: monitor per gatekeeper, which batches all of this user's
-    #: JobManager states into one report per interval; per-job polling
-    #: drops to a slow backstop.  Like ``claim_reuse`` this is a
+    #: JobManager states into one report per interval; per-job status
+    #: probes go only to JobManagers the report missed.  Like ``claim_reuse`` this is a
     #: behavioural opt-in, not a perf flag -- it changes the RPC
     #: pattern (and digests) when enabled.
     grid_monitor: bool = False

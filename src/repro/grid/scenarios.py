@@ -258,7 +258,7 @@ def scale_gram_grid(seed: int = 0, jobs: int = 10_000, n_sites: int = 20,
 
     Keeps MDS/repo off and stdout streaming disabled so the event load
     is the job-management machinery itself, not ancillary chatter.
-    ``grid_monitor=True`` swaps the per-job poll storm for per-site
+    ``grid_monitor=True`` swaps the per-job status probes for per-site
     Grid Monitor reports (the §5.1 fix) -- the same workload, a
     different RPC pattern.
     """

@@ -1,8 +1,9 @@
 """Regressions for two silent failure-handling bugs in the GridManager.
 
-1. ``_poll_loop`` used to swallow :class:`AuthenticationError` with the
+1. The status poll used to swallow :class:`AuthenticationError` with the
    generic RPC handler, so a proxy that expired between probe rounds was
-   never routed to the §5 hold-and-notify path.
+   never routed to the §5 hold-and-notify path.  The status request is
+   now the probe itself, and it must still hold the job.
 2. ``_submission_failed`` used to rewrite every failure reason as
    "local scheduler submission failed: ..." -- masking the real cause in
    the userlog *and* making the transient classification depend on the
@@ -10,7 +11,6 @@
 """
 
 from repro import GridTestbed, JobDescription
-from repro.core.gridmanager import GridManager
 from repro.gram.client import Gram2Client, GramClientError
 from repro.sim.errors import AuthenticationError
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
@@ -29,10 +29,7 @@ def test_poll_loop_routes_auth_errors_to_credential_hold(monkeypatch):
     tb.run(until=15.0)
     assert agent.status(jid).state in ("PENDING", "ACTIVE")
 
-    # Defuse the probe loop so only the POLL_INTERVAL backstop can
-    # discover the problem, then make every status poll fail auth.
-    monkeypatch.setattr(GridManager, "PROBE_INTERVAL", 1e9)
-
+    # Make every status probe fail auth.
     def bad_status(self, contact, jmid):
         raise AuthenticationError("proxy expired while polling")
         yield  # pragma: no cover -- generator like the real method
@@ -46,13 +43,14 @@ def test_poll_loop_routes_auth_errors_to_credential_hold(monkeypatch):
     assert "proxy expired while polling" in status.hold_reason
     assert agent.notifier.emails_about("credential")
     reg = tb.sim.metrics
-    assert reg.counter("gridmanager.poll_credential_errors").value >= 1
-    # held jobs leave the watch set: the poll loop stops re-holding them
+    assert reg.counter("gridmanager.probe_outcomes").labelled(
+        "credential") >= 1
+    # held jobs leave the watch set: the probe loop stops re-holding them
     assert reg.counter("scheduler.credential_holds").value == 1
 
 
 def test_stale_poll_auth_error_does_not_count_or_hold(monkeypatch):
-    """Regression: ``poll_credential_errors`` used to increment even
+    """Regression: the credential-error count used to increment even
     when the failed status response belonged to a superseded attempt --
     the hold was correctly gated on the attempt match, but the metric
     fired first, so resubmission races inflated the credential-error
@@ -64,8 +62,6 @@ def test_stale_poll_auth_error_does_not_count_or_hold(monkeypatch):
     tb.run(until=15.0)
     job = agent.scheduler.jobs[jid]
     assert job.jmid
-
-    monkeypatch.setattr(GridManager, "PROBE_INTERVAL", 1e9)
 
     attempt = [0]
 
@@ -83,7 +79,8 @@ def test_stale_poll_auth_error_does_not_count_or_hold(monkeypatch):
 
     reg = tb.sim.metrics
     assert reg.counter("gridmanager.status_polls").value >= 1
-    assert reg.counter("gridmanager.poll_credential_errors").value == 0
+    assert reg.counter("gridmanager.probe_outcomes").labelled(
+        "credential") == 0
     assert reg.counter("scheduler.credential_holds").value == 0
     assert agent.status(jid).state != "HELD"
 

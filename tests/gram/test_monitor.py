@@ -12,9 +12,13 @@ monitor, or the whole gatekeeper machine reboots.
 from repro import GridTestbed, JobDescription
 from repro.chaos.digest import run_digest
 from repro.chaos.invariants import evaluate_invariants
+from repro.core.gridmanager import GridManager
+from repro.gram.client import Gram2Client
+from repro.gram.jobmanager import JobManager
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from repro.grid.scenarios import get_scenario, scale_gram_grid
 from repro.sim import rpc
+from repro.sim.errors import RPCTimeout
 
 
 def make_tb(seed=3, n_sites=1, cpus=4, user="alice"):
@@ -75,7 +79,7 @@ def test_monitor_collapses_status_rpcs_at_least_10x():
         done = sum(1 for j in agent.scheduler.jobs.values()
                    if j.state == "DONE")
         status = sum(n for (svc, m), n in stats.items()
-                     if m in ("status", "probe"))
+                     if m == "status")
         monitor = sum(n for (svc, m), n in stats.items()
                       if m in ("monitor_report", "start_monitor"))
         return done, status, monitor
@@ -105,6 +109,39 @@ def test_monitor_kill_degrades_to_polling_and_relaunches():
         "gatekeeper.monitors_started").value >= 2
     assert tb.sim.trace.select("gridmanager", "monitor_started")
     assert evaluate_invariants(tb) == []
+
+
+def test_stale_site_gets_state_from_the_next_probe(monkeypatch):
+    """A site whose monitor is dead and cannot be relaunched, with every
+    JobManager callback lost, must still deliver the job's end within
+    one probe interval: the §4.2 probe is a ``status`` request, so the
+    answer that proves the JobManager alive also carries DONE."""
+    tb, agent = make_tb(seed=5)
+    [jid] = submit_jobs(tb, agent, 1, runtime=400.0)
+    tb.run(until=60.0)
+
+    def start_monitor_times_out(self, contact, callback):
+        yield self.sim.timeout(self.rpc_timeout)
+        raise RPCTimeout(f"start_monitor at {contact} timed out")
+
+    def lost_callback(self):
+        return
+        yield  # pragma: no cover -- generator like the real method
+
+    monkeypatch.setattr(Gram2Client, "start_monitor",
+                        start_monitor_times_out)
+    monkeypatch.setattr(JobManager, "_notify_client", lost_callback)
+    tb.failures.crash_service_at(60.0, tb.sites["s0"].gk_host, "monitor:")
+    run_to_terminal(tb, agent, [jid])
+
+    status = agent.status(jid)
+    assert status.is_complete
+    [lrm_job] = tb.sites["s0"].lrm.jobs.values()
+    assert lrm_job.end_time is not None
+    lag = status.end_time - lrm_job.end_time
+    assert 0.0 <= lag <= GridManager.PROBE_INTERVAL + 5.0, lag
+    assert tb.sim.metrics.counter("gridmanager.monitor_starts").labelled(
+        "failed") >= 1
 
 
 def test_monitor_partitioned_while_jobs_finish_strands_nothing():
