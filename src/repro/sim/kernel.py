@@ -274,7 +274,7 @@ class Process(Event):
     with ordinary ``try/except``.
     """
 
-    __slots__ = ("gen", "host", "_target", "_alive", "daemon", "_had_waiter")
+    __slots__ = ("gen", "host", "_target", "_alive", "_had_waiter")
 
     def __init__(
         self,
@@ -282,7 +282,6 @@ class Process(Event):
         gen: ProcessGen,
         name: str = "",
         host: Optional[object] = None,
-        daemon: bool = False,
     ):
         if not hasattr(gen, "send"):
             raise TypeError(
@@ -292,7 +291,6 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
         self.host = host
-        self.daemon = daemon
         self._target: Optional[Event] = None
         self._alive = True
         self._had_waiter = False
@@ -506,7 +504,7 @@ class Simulator:
 
         Unlike ``timeout(t - now)``, the fire time is exactly ``t`` with
         no float round-trip through a relative delay; the idle-skipping
-        poll loops rely on this to keep their tick times on the same
+        probe loop relies on this to keep its tick times on the same
         phase grid as an always-ticking loop.
         """
         return Timeout(self, 0.0, value, at=t)
@@ -522,9 +520,8 @@ class Simulator:
         gen: ProcessGen,
         name: str = "",
         host: Optional[object] = None,
-        daemon: bool = False,
     ) -> Process:
-        return Process(self, gen, name=name, host=host, daemon=daemon)
+        return Process(self, gen, name=name, host=host)
 
     # -- failure bookkeeping -----------------------------------------------
     def _note_process_failure(self, proc: Process, exc: BaseException) -> None:
