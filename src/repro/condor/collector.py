@@ -146,7 +146,8 @@ class Collector(Service):
         # Soonest expiry across the registry: the lazy-sweep trigger.
         self._soonest_expiry = float("inf")
         self.expired_reaped = 0
-        # perf-path introspection (never in metrics/trace: differs by mode)
+        # index-vs-scan introspection for tests; kept out of metrics and
+        # trace so the query strategy can change without moving digests
         self.indexed_queries = 0
         self.scanned_queries = 0
 
@@ -189,9 +190,9 @@ class Collector(Service):
     def _reap(self) -> None:
         """Drop every expired ad once the soonest expiry has passed.
 
-        Runs in both modes (reaping is observable: counters and memory)
-        and is triggered from deterministic points only (RPC handlers
-        and local inspection), so digests stay mode-independent.
+        Reaping is observable (counters and memory), so it runs only
+        from RPC handlers and local inspection: its timing is
+        deterministic, and so are the digests that see it.
         """
         now = self.sim.now
         if self._soonest_expiry >= now:
